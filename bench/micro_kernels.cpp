@@ -10,12 +10,15 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "backend/device.hpp"
 #include "core/cpu_simulator.hpp"
 #include "core/gpu_simulator.hpp"
+#include "core/pheromone.hpp"
 #include "core/rules.hpp"
+#include "grid/distance_field.hpp"
 #include "grid/environment.hpp"
 #include "rng/distributions.hpp"
 #include "rng/stream.hpp"
@@ -175,6 +178,55 @@ void BM_CongestionAccumulateScalar(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_CongestionAccumulateScalar);
+
+// --- ACO candidate scoring -----------------------------------------------
+//
+// Eq. (2) numerators for the 8 neighbours of every agent of a 64-row band
+// of the corridor width at ~20% density (one sweep per iteration), through
+// the engines' shared builder. Arg 0 scores on the analytic corridor field with its eta^beta
+// table; Arg 1 on a geodesic field of the same open band, which keeps
+// pow(1 / D, beta) per candidate. Items are candidates scored.
+void BM_AcoScoreCandidates(benchmark::State& state) {
+    const grid::GridConfig gcfg{64, kBenchCols};
+    grid::Environment env(gcfg);
+    core::PheromoneField pher(gcfg, /*tau0=*/0.1, /*tau_min=*/1e-3);
+    rng::Stream s(13, rng::Stage::kGeneric, 2, 0);
+    std::vector<std::pair<int, int>> agents;
+    for (int r = 0; r < gcfg.rows; ++r) {
+        for (int c = 0; c < gcfg.cols; ++c) {
+            if (s.next_below(5) != 0) continue;
+            agents.emplace_back(r, c);
+            env.place(r, c, grid::Group::kTop,
+                      static_cast<std::int32_t>(agents.size()));
+            pher.deposit(grid::Group::kTop, r, c, s.next_double());
+        }
+    }
+    const bool geodesic = state.range(0) != 0;
+    const grid::DistanceField df =
+        geodesic ? grid::DistanceField(gcfg, {}, {}) : grid::DistanceField(gcfg);
+    const core::AcoParams params;
+    const core::AcoHeuristicTable table(df, params.beta);
+    const core::AcoHeuristicTable* eta = geodesic ? nullptr : &table;
+    const grid::BlendedField field(&df);
+    const core::EnvEmpty empty(env);
+    const auto tau = [&](int r, int c) {
+        return pher.at(grid::Group::kTop, r, c);
+    };
+    double values[8];
+    std::int8_t cells[8];
+    std::int64_t scored = 0;
+    for (auto _ : state) {
+        for (const auto& [r, c] : agents) {
+            scored += core::build_candidates_aco_t(
+                empty, tau, field, params, eta, grid::Group::kTop, r, c,
+                values, cells);
+            benchmark::DoNotOptimize(values);
+        }
+    }
+    state.SetItemsProcessed(scored);
+    state.SetLabel(geodesic ? "geodesic" : "analytic");
+}
+BENCHMARK(BM_AcoScoreCandidates)->Arg(0)->Arg(1);
 
 // --- engine step benches -------------------------------------------------
 

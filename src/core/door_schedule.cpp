@@ -186,14 +186,17 @@ DoorSchedule::DoorSchedule(const SimConfig& config) {
     const bool geodesic =
         config.layout.needs_geodesic() || !events_.empty();
 
+    // The initial configuration is the layout's walls, sorted and deduped:
+    // the canonical form every later phase's mask snapshot also takes.
     const std::size_t cells = config.grid.cell_count();
-    std::vector<std::uint8_t> mask(cells, 0);
-    for (const auto cell : config.layout.wall_cells) {
+    std::vector<std::uint32_t> initial = config.layout.wall_cells;
+    for (const auto cell : initial) {
         if (cell >= cells) {
             throw std::invalid_argument("DoorSchedule: wall cell off-grid");
         }
-        mask[cell] = 1;
     }
+    std::sort(initial.begin(), initial.end());
+    initial.erase(std::unique(initial.begin(), initial.end()), initial.end());
 
     // Waypoint chains share one field per DISTINCT cell (a cell revisited
     // later in a chain, or used by both groups, is one Dijkstra, not two).
@@ -205,13 +208,6 @@ DoorSchedule::DoorSchedule(const SimConfig& config) {
     wp_cells_.erase(std::unique(wp_cells_.begin(), wp_cells_.end()),
                     wp_cells_.end());
 
-    const auto snapshot = [&mask] {
-        std::vector<std::uint32_t> walls;
-        for (std::size_t i = 0; i < mask.size(); ++i) {
-            if (mask[i]) walls.push_back(static_cast<std::uint32_t>(i));
-        }
-        return walls;
-    };
     const auto intern = [&](std::vector<std::uint32_t> walls) {
         // Phases often revisit a configuration (open ... close back);
         // reuse the already-built field instead of re-running Dijkstra.
@@ -255,7 +251,19 @@ DoorSchedule::DoorSchedule(const SimConfig& config) {
         after_.push_back(pool_.back().get());
     };
 
-    intern(snapshot());
+    intern(std::move(initial));
+    if (events_.empty()) return;
+    // Events toggle whole rects, so later phases are snapshots of an
+    // O(cells) mask — built only when there is an event to apply.
+    std::vector<std::uint8_t> mask(cells, 0);
+    for (const auto cell : walls_after_.front()) mask[cell] = 1;
+    const auto snapshot = [&mask] {
+        std::vector<std::uint32_t> walls;
+        for (std::size_t i = 0; i < mask.size(); ++i) {
+            if (mask[i]) walls.push_back(static_cast<std::uint32_t>(i));
+        }
+        return walls;
+    };
     for (const auto& e : events_) {
         const std::uint8_t v = e.action == DoorAction::kClose ? 1 : 0;
         for (int r = e.row0; r <= e.row1; ++r) {

@@ -259,8 +259,8 @@ void GpuSimulator::stage_initial_calc() {
                                    nc - ctx.block_idx.x * simt::kTileEdge);
                 };
                 n = build_candidates_aco_t(tile_empty, tile_tau, field,
-                                           config_.aco, g, r, c, out_values,
-                                           out_cells);
+                                           config_.aco, aco_heuristic(field),
+                                           g, r, c, out_values, out_cells);
             }
             (agent ? scan_.count(i) : dump_count) =
                 static_cast<std::int8_t>(n);

@@ -7,6 +7,22 @@
 
 namespace pedsim::core {
 
+AcoHeuristicTable::AcoHeuristicTable(const grid::DistanceField& analytic,
+                                     double beta) {
+    const int rows = analytic.rows();
+    for (const auto g : {grid::Group::kTop, grid::Group::kBottom}) {
+        auto& table = eta_[g == grid::Group::kTop ? 0 : 1];
+        table.resize(static_cast<std::size_t>(rows) + 2);
+        for (int r = -1; r <= rows; ++r) {
+            for (const int dc : {0, 1}) {
+                table[static_cast<std::size_t>(r + 1)]
+                     [static_cast<std::size_t>(dc)] =
+                    eta_beta(analytic.distance(g, r, dc), beta);
+            }
+        }
+    }
+}
+
 int select_lem(rng::Stream& stream, int candidate_count, double sigma) {
     return rng::lem_rank_draw(stream, candidate_count, sigma);
 }

@@ -7,8 +7,10 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "core/config.hpp"
 #include "core/pheromone.hpp"
@@ -126,24 +128,54 @@ int build_candidates_lem_t(EmptyFn&& empty, const Field& df,
     return n;
 }
 
+/// The ACO goal heuristic of eq. (2), eta^beta = (1 / max(D, 0.5))^beta,
+/// of a candidate at distance D.
+inline double eta_beta(double d, double beta) {
+    return std::pow(1.0 / std::max(d, kMinHeuristicDistance), beta);
+}
+
+/// eta_beta() of the analytic field, memoised per group x candidate row x
+/// |dc| — the paper's constant-memory distance matrix raised to beta once
+/// instead of per candidate. Each entry is the very eta_beta() call the
+/// builder would make, on the same input, so reading it is bit-exact.
+/// Rows -1 .. rows are covered: every row the analytic field's distance()
+/// accepts.
+class AcoHeuristicTable {
+  public:
+    AcoHeuristicTable(const grid::DistanceField& analytic, double beta);
+
+    [[nodiscard]] double at(grid::Group g, int r, int dc) const {
+        return eta_[g == grid::Group::kTop ? 0 : 1]
+                   [static_cast<std::size_t>(r + 1)][dc != 0];
+    }
+
+  private:
+    std::array<std::vector<std::array<double, 2>>, 2> eta_;
+};
+
 /// ACO flavour: value = tau(candidate)^alpha * (1/D)^beta — the numerator
 /// of eq. (2) with the goal heuristic substituted for inter-city distance.
-/// `tau(r, c)` reads the agent's own group's pheromone field.
+/// `tau(r, c)` reads the agent's own group's pheromone field. With `eta`
+/// set (the caller's promise that `df` is that table's analytic,
+/// non-blending field) the heuristic is a table read; otherwise it is
+/// computed from df.cost(). alpha == 1 takes tau as is (pow(x, 1) == x).
 template <typename EmptyFn, typename TauFn, typename Field>
 int build_candidates_aco_t(EmptyFn&& empty, TauFn&& tau,
-                           const Field& df,
-                           const AcoParams& params, grid::Group g, int r,
-                           int c, double* values, std::int8_t* cells) {
+                           const Field& df, const AcoParams& params,
+                           const AcoHeuristicTable* eta, grid::Group g,
+                           int r, int c, double* values, std::int8_t* cells) {
+    const bool unit_alpha = params.alpha == 1.0;
     int n = 0;
     for (const int k : grid::ranked_order(g)) {
         const auto off = grid::kNeighborOffsets[static_cast<std::size_t>(k)];
         const int nr = r + off.dr;
         const int nc = c + off.dc;
         if (!empty(nr, nc)) continue;
-        const double d =
-            std::max(df.cost(g, nr, nc, off.dc), kMinHeuristicDistance);
-        values[n] = std::pow(tau(nr, nc), params.alpha) *
-                    std::pow(1.0 / d, params.beta);
+        const double t = tau(nr, nc);
+        const double heuristic =
+            eta != nullptr ? eta->at(g, nr, off.dc)
+                           : eta_beta(df.cost(g, nr, nc, off.dc), params.beta);
+        values[n] = (unit_alpha ? t : std::pow(t, params.alpha)) * heuristic;
         cells[n] = static_cast<std::int8_t>(k);
         ++n;
     }
@@ -221,12 +253,13 @@ template <typename EmptyFn, typename TauFn, typename Field>
 int build_candidates_aco_scan_t(EmptyFn&& empty, TauFn&& tau,
                                 const Field& df,
                                 const AcoParams& params,
+                                const AcoHeuristicTable* eta,
                                 const ScanConfig& scan,
                                 const grid::GridConfig& gcfg, grid::Group g,
                                 int r, int c, double* values,
                                 std::int8_t* cells) {
-    const int n = build_candidates_aco_t(empty, tau, df, params, g, r, c,
-                                         values, cells);
+    const int n = build_candidates_aco_t(empty, tau, df, params, eta, g, r,
+                                         c, values, cells);
     if (scan.range <= 1) return n;
     for (int i = 0; i < n; ++i) {
         const auto off =

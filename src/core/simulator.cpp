@@ -52,6 +52,7 @@ Simulator::Simulator(const SimConfig& config,
     if (config_.model == Model::kAco) {
         pher_ = std::make_unique<PheromoneField>(
             config_.grid, config_.aco.tau0, config_.aco.tau_min);
+        if (!df_->geodesic()) eta_.emplace(*df_, config_.aco.beta);
     }
     init_perturbations();
     // Heterogeneous speeds: a seeded fraction of agents is slow.
@@ -242,14 +243,15 @@ int Simulator::fill_scan_row(std::int32_t i, int r, int c, grid::Group g,
                                       scan_.values(i), scan_.cells(i));
     }
     auto tau = [&](int rr, int cc) { return pher_->at(g, rr, cc); };
+    const AcoHeuristicTable* eta = aco_heuristic(field);
     if (config_.scan.range > 1) {
         return build_candidates_aco_scan_t(empty, tau, field, config_.aco,
-                                           config_.scan, config_.grid, g, r,
-                                           c, scan_.values(i),
+                                           eta, config_.scan, config_.grid,
+                                           g, r, c, scan_.values(i),
                                            scan_.cells(i));
     }
-    return build_candidates_aco_t(empty, tau, field, config_.aco, g, r, c,
-                                  scan_.values(i), scan_.cells(i));
+    return build_candidates_aco_t(empty, tau, field, config_.aco, eta, g, r,
+                                  c, scan_.values(i), scan_.cells(i));
 }
 
 bool Simulator::decide_future(std::int32_t i) {

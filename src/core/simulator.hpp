@@ -12,6 +12,7 @@
 #include <array>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -19,14 +20,13 @@
 #include "core/door_schedule.hpp"
 #include "core/pheromone.hpp"
 #include "core/property_table.hpp"
+#include "core/rules.hpp"
 #include "core/scan_matrix.hpp"
 #include "grid/distance_field.hpp"
 #include "grid/environment.hpp"
 #include "grid/placement.hpp"
 
 namespace pedsim::core {
-
-struct EnvEmpty;  // rules.hpp: windowed emptiness view
 
 /// One resolved movement: agent -> empty cell (from stage d's gather).
 struct Move {
@@ -195,6 +195,17 @@ class Simulator {
         (void)row1;
     }
 
+    /// The eta^beta memo for the ACO builder when candidates are scored
+    /// on `field`: the table while `field` is the analytic field itself
+    /// (not blending), else null — geodesic, blended and waypoint fields
+    /// keep computing pow(1 / D, beta) per candidate.
+    [[nodiscard]] const AcoHeuristicTable* aco_heuristic(
+        const grid::BlendedField& field) const {
+        return eta_ && !field.blending() && !field.now()->geodesic()
+                   ? &*eta_
+                   : nullptr;
+    }
+
     /// True when agent i flees this step (panic active and in radius).
     [[nodiscard]] bool panic_applies(int r, int c) const {
         return config_.panic.active(step_) && config_.panic.affects(r, c);
@@ -235,6 +246,9 @@ class Simulator {
     PropertyTable props_;
     ScanMatrix scan_;
     std::unique_ptr<PheromoneField> pher_;
+    /// ACO runs on an analytic field (the paper corridor) only: the field
+    /// depends on the grid alone, so one table serves every step.
+    std::optional<AcoHeuristicTable> eta_;
     std::uint64_t step_ = 0;
     std::size_t crossed_top_ = 0;
     std::size_t crossed_bottom_ = 0;

@@ -59,6 +59,8 @@ class DistanceField {
 
     [[nodiscard]] bool geodesic() const { return geodesic_; }
 
+    [[nodiscard]] int rows() const { return config_.rows; }
+
     [[nodiscard]] int target_row(Group g) const {
         return g == Group::kTop ? config_.rows - 1 : 0;
     }

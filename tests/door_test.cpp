@@ -121,6 +121,38 @@ TEST(DoorSchedule, NoDoorsDegeneratesToTheStaticChoice) {
     EXPECT_TRUE(forced.field_after(0).geodesic());
 }
 
+TEST(DoorSchedule, EventFreeWallListEqualsTheMaskSnapshot) {
+    // Without events the schedule takes the layout's wall list sorted and
+    // deduped instead of scanning an O(cells) mask; both must agree.
+    const auto snapshot = [](const SimConfig& cfg) {
+        std::vector<std::uint8_t> mask(cfg.grid.cell_count(), 0);
+        for (const auto cell : cfg.layout.wall_cells) mask[cell] = 1;
+        std::vector<std::uint32_t> walls;
+        for (std::size_t i = 0; i < mask.size(); ++i) {
+            if (mask[i]) walls.push_back(static_cast<std::uint32_t>(i));
+        }
+        return walls;
+    };
+    SimConfig empty;
+    empty.grid.rows = empty.grid.cols = 16;
+    EXPECT_EQ(DoorSchedule(empty).walls_after(0), snapshot(empty));
+    EXPECT_TRUE(DoorSchedule(empty).walls_after(0).empty());
+
+    SimConfig messy = walled_config();
+    auto& walls = messy.layout.wall_cells;
+    std::reverse(walls.begin(), walls.end());
+    walls.push_back(walls[3]);
+    walls.push_back(walls[0]);
+    walls.push_back(200);
+    walls.push_back(200);
+    const DoorSchedule sched(messy);
+    EXPECT_EQ(sched.walls_after(0), snapshot(messy));
+    EXPECT_EQ(sched.walls_after(0).size(), 33u);  // rows 7-8 + cell 200
+
+    messy.layout.wall_cells.push_back(16 * 16);  // first off-grid cell
+    EXPECT_THROW(DoorSchedule{messy}, std::invalid_argument);
+}
+
 // --- Cycle / mover expansion -------------------------------------------------
 
 TEST(DynamicEvents, CycleExpandsToOpenClosePairs) {

@@ -25,8 +25,8 @@ inline int build_candidates_aco(const grid::Environment& env,
                                 int c, double* values, std::int8_t* cells) {
     return build_candidates_aco_t(
         [&](int nr, int nc) { return env.walkable(nr, nc); },
-        [&](int nr, int nc) { return pher.at(g, nr, nc); }, df, params, g, r,
-        c, values, cells);
+        [&](int nr, int nc) { return pher.at(g, nr, nc); }, df, params,
+        /*eta=*/nullptr, g, r, c, values, cells);
 }
 
 }  // namespace pedsim::core
