@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) of the hot building blocks: Philox
 // draws, the SIMD row primitives behind the scan-row/candidate hot path
-// (mask builds, field gathers, the congestion accumulator — each against
-// its scalar reference, so the per-primitive speedup of the active
-// backend is one run away), and one full simulation step per engine.
+// (the agent mask build, field gathers, the congestion accumulator — the
+// last two against their scalar references, so the per-primitive speedup
+// of the active backend is one run away), ACO candidate scoring, the
+// host movement gather, and one full simulation step per engine.
 // These bound the per-step cost that the figure harnesses extrapolate
 // from. `--benchmark_format=csv` emits the machine-readable table the
 // perf-trajectory workflow (docs/PERFORMANCE.md) archives alongside the
@@ -22,6 +23,7 @@
 #include "grid/environment.hpp"
 #include "rng/distributions.hpp"
 #include "rng/stream.hpp"
+#include "scenario/registry.hpp"
 #include "simd/row_ops.hpp"
 #include "simd/simd.hpp"
 
@@ -79,32 +81,6 @@ std::vector<std::uint8_t> bench_row() {
     }
     return row;
 }
-
-void BM_EmptyMaskBuild(benchmark::State& state) {
-    const auto row = bench_row();
-    std::vector<std::uint64_t> words(row.size() / simd::kWordBits);
-    for (auto _ : state) {
-        simd::empty_bits(row.data(), static_cast<int>(row.size()),
-                         words.data());
-        benchmark::DoNotOptimize(words.data());
-    }
-    state.SetBytesProcessed(state.iterations() *
-                            static_cast<std::int64_t>(row.size()));
-}
-BENCHMARK(BM_EmptyMaskBuild);
-
-void BM_EmptyMaskBuildScalar(benchmark::State& state) {
-    const auto row = bench_row();
-    std::vector<std::uint64_t> words(row.size() / simd::kWordBits);
-    for (auto _ : state) {
-        simd::scalar::empty_bits(row.data(), static_cast<int>(row.size()),
-                                 words.data());
-        benchmark::DoNotOptimize(words.data());
-    }
-    state.SetBytesProcessed(state.iterations() *
-                            static_cast<std::int64_t>(row.size()));
-}
-BENCHMARK(BM_EmptyMaskBuildScalar);
 
 void BM_AgentMaskBuild(benchmark::State& state) {
     const auto row = bench_row();
@@ -227,6 +203,61 @@ void BM_AcoScoreCandidates(benchmark::State& state) {
     state.SetLabel(geodesic ? "geodesic" : "analytic");
 }
 BENCHMARK(BM_AcoScoreCandidates)->Arg(0)->Arg(1);
+
+// --- movement gather -----------------------------------------------------
+//
+// The host engines' movement stage (core::gather_moves) over all 480 rows
+// of a frozen paper_corridor step: Arg 0 is d = 1 (LEM, the sparse
+// corridor), Arg 1 is d = 20 (ACO, the dense corridor). The snapshot is the
+// environment before step 60 plus that step's FUTURE columns, so the
+// routine sees exactly what the engine's movement stage saw; the run
+// checks it emits that step's move count. Items are moves emitted.
+void BM_MovementGather(benchmark::State& state) {
+    const bool dense = state.range(0) != 0;
+    auto s = scenario::get("paper_corridor");
+    s.sim.agents_per_side = dense ? 1280u * 20u : 1280u;
+    s.sim.model = dense ? core::Model::kAco : core::Model::kLem;
+    const auto sim = backend::make_cpu(s.sim);
+    for (int k = 0; k < 60; ++k) sim->step();
+    const grid::Environment env = sim->environment();
+    const core::StepResult stepped = sim->step();
+
+    // The target plane step() builds: every FUTURE cell, padded bit c + 1.
+    const auto& props = sim->properties();
+    const int words = env.bit_words();
+    std::vector<std::uint64_t> targets(
+        static_cast<std::size_t>(env.rows()) * static_cast<std::size_t>(words));
+    for (std::size_t i = 1; i < props.rows(); ++i) {
+        if (props.future_row[i] == core::kNoFuture) continue;
+        const auto p = static_cast<std::size_t>(props.future_col[i]) + 1;
+        targets[static_cast<std::size_t>(props.future_row[i]) *
+                    static_cast<std::size_t>(words) +
+                p / 64] |= std::uint64_t{1} << (p % 64);
+    }
+    const core::MovementInputs in{targets.data(),
+                                  words,
+                                  env.cols(),
+                                  props.future_row.data(),
+                                  props.future_col.data(),
+                                  s.sim.seed,
+                                  stepped.step};
+    const core::EnvIndex index(env);
+    std::vector<core::Move> moves;
+    moves.reserve(static_cast<std::size_t>(stepped.moves));
+    for (auto _ : state) {
+        moves.clear();
+        core::gather_moves(in, index, 0, env.rows(), moves);
+        benchmark::DoNotOptimize(moves.data());
+        benchmark::ClobberMemory();
+    }
+    if (static_cast<int>(moves.size()) != stepped.moves) {
+        state.SkipWithError("snapshot gather disagrees with the engine step");
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(moves.size()));
+    state.SetLabel(dense ? "dense" : "sparse");
+}
+BENCHMARK(BM_MovementGather)->Arg(0)->Arg(1);
 
 // --- engine step benches -------------------------------------------------
 

@@ -12,10 +12,11 @@
 //      re-copied from the canonical environment into every band window
 //      containing them, interior and halo alike. Fixed order + full-row
 //      copies make seam resolution deterministic by construction.
-//   2. initial-calc and movement run one pool task per band, reading ONLY
-//      the band's replica planes (all probes stay inside the window by
-//      the halo-width argument); tour construction slices the agent
-//      table the same way.
+//   2. initial-calc and movement run one pool task per band, reading the
+//      band's replica planes for every occupancy/index probe (all probes
+//      stay inside the window by the halo-width argument) and, in
+//      movement, the band's rows of the host-written target plane; tour
+//      construction slices the agent table the same way.
 //   3. Per-band move scratch merges in ascending band order — the
 //      monolithic engine's row-major order — and the shared finish_step
 //      applies it to the canonical environment.
@@ -84,7 +85,8 @@ class ShardedCpuSimulator final : public core::Simulator {
         /// Window views with GLOBAL (r, c) addressing into the planes.
         core::EnvEmpty empty;
         core::EnvIndex index;
-        /// Per-band stage scratch (mask words, movement output).
+        /// Per-band stage scratch (initial-calc agent mask words,
+        /// movement output).
         std::vector<std::uint64_t> mask;
         std::vector<core::Move> moves;
     };
@@ -99,7 +101,6 @@ class ShardedCpuSimulator final : public core::Simulator {
     void exchange_halos();
 
     void initial_calc_band(Band& band);
-    void movement_band(Band& band);
 
     int halo_ = 1;
     std::vector<Band> bands_;

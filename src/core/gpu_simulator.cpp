@@ -40,6 +40,34 @@ struct TourShared {
     std::array<double, 32 * grid::kNeighborCount> values{};
 };
 
+/// Global-memory arrays, each modeled as its own aligned device
+/// allocation (simt::device_address), so coalescing depends on the access
+/// pattern alone and not on where the host heap placed the arrays.
+enum Buffer : int {
+    kBufOcc = 1,
+    kBufIdx,
+    kBufPherTop,
+    kBufPherBottom,
+    kBufFuture,
+    kBufFrontBlocked,
+    kBufScan,
+    kBufWinner,
+};
+
+/// FUTURE ROW entry of agent row i; the kernels charge the ROW/COLUMN
+/// pair as one access at this address.
+std::uint64_t future_address(std::int64_t i) {
+    return simt::device_address(
+        kBufFuture, static_cast<std::uint64_t>(i) * sizeof(std::int32_t));
+}
+
+/// First candidate slot of scan row i.
+std::uint64_t scan_address(std::int64_t i) {
+    return simt::device_address(kBufScan, static_cast<std::uint64_t>(i) *
+                                              grid::kNeighborCount *
+                                              sizeof(double));
+}
+
 // Off-grid halo fill and in-grid static walls share grid::kWallOcc: both
 // read as occupied in every emptiness test, with index 0 so the dump row
 // absorbs any work a wall-assigned thread produces.
@@ -98,9 +126,7 @@ void GpuSimulator::stage_reset() {
             props_.future_row[idx] = kNoFuture;
             props_.future_col[idx] = kNoFuture;
             scan_.count(i) = 0;
-            ctx.global_store(kAccessProps,
-                             reinterpret_cast<std::uint64_t>(
-                                 props_.future_row.data() + idx),
+            ctx.global_store(kAccessProps, future_address(i),
                              sizeof(std::int32_t) * 2 + 1);
         },
         config_.exec);
@@ -113,18 +139,18 @@ void GpuSimulator::stage_initial_calc() {
                           env_.rows() / simt::kTileEdge};
     // The environment's rows are padded for SIMD; the views carry the
     // stride so kernel-side (r, c) addressing is unchanged. Pheromone
-    // fields stay dense (stride = cols default).
+    // fields stay dense (stride = cols).
     const simt::GlobalView<std::uint8_t> occ_view{
-        env_.occ_row(0), env_.rows(), env_.cols(), env_.stride()};
+        env_.occ_row(0), env_.rows(), env_.cols(), env_.stride(), kBufOcc};
     const simt::GlobalView<std::int32_t> idx_view{
-        env_.idx_row(0), env_.rows(), env_.cols(), env_.stride()};
+        env_.idx_row(0), env_.rows(), env_.cols(), env_.stride(), kBufIdx};
     const bool aco = config_.model == Model::kAco;
     simt::GlobalView<double> ptop_view, pbot_view;
     if (aco) {
         ptop_view = {pher_->raw(grid::Group::kTop).data(), env_.rows(),
-                     env_.cols()};
+                     env_.cols(), env_.cols(), kBufPherTop};
         pbot_view = {pher_->raw(grid::Group::kBottom).data(), env_.rows(),
-                     env_.cols()};
+                     env_.cols(), env_.cols(), kBufPherBottom};
     }
 
     auto stats = simt::launch<TileShared>(
@@ -196,8 +222,9 @@ void GpuSimulator::stage_initial_calc() {
             }
             ctx.global_store(
                 kAccessProps,
-                reinterpret_cast<std::uint64_t>(props_.front_blocked.data() +
-                                                (occupied ? i : 0)),
+                simt::device_address(
+                    kBufFrontBlocked,
+                    static_cast<std::uint64_t>(occupied ? i : 0)),
                 1);
 
             const bool panicked = occupied && panic_applies(r, c);
@@ -222,20 +249,16 @@ void GpuSimulator::stage_initial_calc() {
                 // shared env-backed builder keeps both engines identical.
                 ctx.instr(static_cast<std::uint32_t>(
                     24 * std::max(config_.scan.range, 1)));
-                ctx.global_load(kAccessProps,
-                                reinterpret_cast<std::uint64_t>(
-                                    env_.occ_row(r) + c),
+                ctx.global_load(kAccessProps, occ_view.addr(r, c),
                                 static_cast<std::uint32_t>(
                                     8 * std::max(config_.scan.range, 1)));
                 if (agent) {
                     scan_.count(i) =
                         static_cast<std::int8_t>(fill_scan_row(i, r, c, g));
                 }
-                ctx.global_store(
-                    kAccessScan,
-                    reinterpret_cast<std::uint64_t>(scan_.values(i)),
-                    static_cast<std::uint32_t>(grid::kNeighborCount *
-                                               sizeof(double)));
+                ctx.global_store(kAccessScan, scan_address(i),
+                                 static_cast<std::uint32_t>(
+                                     grid::kNeighborCount * sizeof(double)));
                 return;
             }
 
@@ -264,8 +287,7 @@ void GpuSimulator::stage_initial_calc() {
             }
             (agent ? scan_.count(i) : dump_count) =
                 static_cast<std::int8_t>(n);
-            ctx.global_store(kAccessScan,
-                             reinterpret_cast<std::uint64_t>(scan_.values(i)),
+            ctx.global_store(kAccessScan, scan_address(i),
                              static_cast<std::uint32_t>(
                                  grid::kNeighborCount * sizeof(double)));
         },
@@ -296,8 +318,9 @@ void GpuSimulator::stage_tour_construction() {
                 // rows so the load itself is branch-free.
                 const std::int32_t src = valid ? i : 0;
                 ctx.global_load(kAccessScan,
-                                reinterpret_cast<std::uint64_t>(
-                                    scan_.values(src) + lane_in_row),
+                                scan_address(src) +
+                                    static_cast<std::uint64_t>(lane_in_row) *
+                                        sizeof(double),
                                 sizeof(double));
                 sh.values[static_cast<std::size_t>(agent_row) *
                               grid::kNeighborCount +
@@ -319,11 +342,8 @@ void GpuSimulator::stage_tour_construction() {
             const bool proposed = decide_future(i);
             if (proposed) {
                 ctx.rng_draw(1);
-                ctx.global_store(
-                    kAccessFuture,
-                    reinterpret_cast<std::uint64_t>(props_.future_row.data() +
-                                                    i),
-                    sizeof(std::int32_t) * 2);
+                ctx.global_store(kAccessFuture, future_address(i),
+                                 sizeof(std::int32_t) * 2);
             }
         },
         config_.exec);
@@ -335,9 +355,9 @@ void GpuSimulator::stage_movement(std::vector<Move>& out_moves) {
     const simt::Dim2 grid{env_.cols() / simt::kTileEdge,
                           env_.rows() / simt::kTileEdge};
     const simt::GlobalView<std::uint8_t> occ_view{
-        env_.occ_row(0), env_.rows(), env_.cols(), env_.stride()};
+        env_.occ_row(0), env_.rows(), env_.cols(), env_.stride(), kBufOcc};
     const simt::GlobalView<std::int32_t> idx_view{
-        env_.idx_row(0), env_.rows(), env_.cols(), env_.stride()};
+        env_.idx_row(0), env_.rows(), env_.cols(), env_.stride(), kBufIdx};
     const bool aco = config_.model == Model::kAco;
 
     std::fill(winner_.begin(), winner_.end(), 0);
@@ -386,9 +406,7 @@ void GpuSimulator::stage_movement(std::vector<Move>& out_moves) {
                 if (!env_.in_bounds(nr, nc)) continue;
                 const std::int32_t j = sh.idx.at(lr + off.dr, lc + off.dc);
                 // Row 0 backs empty neighbours: branch-free future read.
-                ctx.global_load(kAccessFuture,
-                                reinterpret_cast<std::uint64_t>(
-                                    props_.future_row.data() + j),
+                ctx.global_load(kAccessFuture, future_address(j),
                                 sizeof(std::int32_t) * 2);
                 ctx.instr(4);  // compare + predicated count
                 if (j > 0 && props_.future_row[static_cast<std::size_t>(j)] == r &&
@@ -403,17 +421,22 @@ void GpuSimulator::stage_movement(std::vector<Move>& out_moves) {
                 // global atomic CAS on this cell.
                 for (int a = 0; a < n; ++a) ctx.atomic();
             }
-            rng::Stream stream(config_.seed, rng::Stage::kMovement,
-                               static_cast<std::uint64_t>(env_.flat(r, c)),
-                               step_);
-            const int w = select_winner(stream, n);
-            if (n > 1) ctx.rng_draw(1);
+            // A lone proposer wins without a draw, so only contested
+            // cells build their stream.
+            int w = 0;
+            if (n > 1) {
+                rng::Stream stream(
+                    config_.seed, rng::Stage::kMovement,
+                    static_cast<std::uint64_t>(env_.flat(r, c)), step_);
+                w = select_winner(stream, n);
+                ctx.rng_draw(1);
+            }
             winner_[env_.flat(r, c)] = proposers[w];
-            ctx.global_store(
-                kAccessWinner,
-                reinterpret_cast<std::uint64_t>(winner_.data() +
-                                                env_.flat(r, c)),
-                sizeof(std::int32_t));
+            ctx.global_store(kAccessWinner,
+                             simt::device_address(kBufWinner,
+                                                  env_.flat(r, c) *
+                                                      sizeof(std::int32_t)),
+                             sizeof(std::int32_t));
         },
         config_.exec);
     record("movement", grid, block, std::move(stats));

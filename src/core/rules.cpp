@@ -111,13 +111,6 @@ int gather_proposers(const EnvIndex& view, const std::int32_t* future_row,
     return n;
 }
 
-int gather_proposers(const grid::Environment& env,
-                     const std::int32_t* future_row,
-                     const std::int32_t* future_col, int r, int c,
-                     std::int32_t* out) {
-    return gather_proposers(EnvIndex(env), future_row, future_col, r, c, out);
-}
-
 int select_winner(rng::Stream& stream, int count) {
     if (count <= 0) return -1;
     if (count == 1) return 0;

@@ -326,13 +326,9 @@ int select_aco(rng::Stream& stream, const double* values, int candidate_count);
 /// the 8 neighbours of empty cell (r, c) whose FUTURE ROW/COLUMN equals
 /// (r, c), in paper cell order. `out` must have room for 8 agent indices.
 /// Reads only pre-movement snapshot state. Returns the proposer count.
-/// The EnvIndex form gathers through any window view (the sharded
-/// backend's band planes); the Environment form wraps the whole grid.
+/// Gathers through any window view: the whole grid or a sharded band's
+/// replica planes.
 int gather_proposers(const EnvIndex& idx, const std::int32_t* future_row,
-                     const std::int32_t* future_col, int r, int c,
-                     std::int32_t* out);
-int gather_proposers(const grid::Environment& env,
-                     const std::int32_t* future_row,
                      const std::int32_t* future_col, int r, int c,
                      std::int32_t* out);
 

@@ -9,8 +9,35 @@
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "simd/row_ops.hpp"
 
 namespace pedsim::core {
+
+void gather_moves(const MovementInputs& in, const EnvIndex& index,
+                  int begin_row, int end_row, std::vector<Move>& out) {
+    std::int32_t proposers[grid::kNeighborCount];
+    for (int r = begin_row; r < end_row; ++r) {
+        const std::uint64_t* const row =
+            in.targets + static_cast<std::ptrdiff_t>(r) * in.words;
+        simd::for_each_set_bit(row, in.words, [&](int p) {
+            const int c = p - 1;  // padded bit position -> logical column
+            const int n = gather_proposers(index, in.future_row,
+                                           in.future_col, r, c, proposers);
+            if (n == 0) return;  // unreachable while the plane is exact
+            int w = 0;
+            if (n > 1) {
+                rng::Stream stream(
+                    in.seed, rng::Stage::kMovement,
+                    static_cast<std::uint64_t>(r) *
+                            static_cast<std::uint64_t>(in.cols) +
+                        static_cast<std::uint64_t>(c),
+                    in.step);
+                w = select_winner(stream, n);
+            }
+            out.push_back({proposers[w], r, c});
+        });
+    }
+}
 
 std::vector<grid::PlacedAgent> Simulator::init_agents(
     grid::Environment& env, const SimConfig& config) {
@@ -48,7 +75,9 @@ Simulator::Simulator(const SimConfig& config,
       blend_(df_),
       placed_(init_agents(env_, config_)),
       props_(placed_, config_.perturb.surge_total()),
-      scan_(placed_.size() + config_.perturb.surge_total()) {
+      scan_(placed_.size() + config_.perturb.surge_total()),
+      targets_(static_cast<std::size_t>(env_.rows()) *
+               static_cast<std::size_t>(env_.bit_words())) {
     if (config_.model == Model::kAco) {
         pher_ = std::make_unique<PheromoneField>(
             config_.grid, config_.aco.tau0, config_.aco.tau_min);
@@ -471,9 +500,18 @@ StepResult Simulator::step() {
         stage_tour_construction();
     }
 
+    // One pass over the agents counts the proposals and marks each FUTURE
+    // cell in the target plane the movement stage walks.
+    std::fill(targets_.begin(), targets_.end(), 0);
+    const auto words = static_cast<std::size_t>(env_.bit_words());
     for (std::size_t i = 1; i < props_.rows(); ++i) {
-        res.proposals += (props_.active[i] != 0 &&
-                          props_.future_row[i] != kNoFuture);
+        if (props_.active[i] == 0 || props_.future_row[i] == kNoFuture) {
+            continue;
+        }
+        ++res.proposals;
+        const auto p = static_cast<std::size_t>(props_.future_col[i]) + 1;
+        targets_[static_cast<std::size_t>(props_.future_row[i]) * words +
+                 p / 64] |= std::uint64_t{1} << (p % 64);
     }
 
     std::vector<Move> moves;

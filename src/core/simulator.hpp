@@ -64,6 +64,31 @@ struct RunResult {
     }
 };
 
+/// What the host movement stage reads besides the index window, frozen
+/// for the stage (section IV.d).
+struct MovementInputs {
+    /// Proposed-cell bitplane, `words` words per row in the padded row
+    /// mask layout: bit c + 1 of row r is set when some active agent's
+    /// FUTURE cell is (r, c).
+    const std::uint64_t* targets = nullptr;
+    int words = 0;
+    int cols = 0;  ///< logical width: cell (r, c) draws on stream r * cols + c
+    const std::int32_t* future_row = nullptr;
+    const std::int32_t* future_col = nullptr;
+    std::uint64_t seed = 0;
+    std::uint64_t step = 0;
+};
+
+/// The host engines' movement stage over rows [begin_row, end_row): every
+/// set target bit, row-major and column-ascending, gathers its proposers
+/// through `index` and appends the winner's move. Every FUTURE cell is an
+/// empty on-grid neighbour of its agent, so the set bits are exactly the
+/// cells where a gather over all empty cells finds a proposer; a cell
+/// with one proposer draws nothing, so only contested cells build a
+/// stream.
+void gather_moves(const MovementInputs& in, const EnvIndex& index,
+                  int begin_row, int end_row, std::vector<Move>& out);
+
 /// Observer invoked after every step; return false to stop the run early.
 using StepObserver = std::function<bool(const StepResult&)>;
 
@@ -218,6 +243,14 @@ class Simulator {
         return chain_slots_[g == grid::Group::kTop ? 0 : 1];
     }
 
+    /// gather_moves inputs for this step: the target plane step() filled
+    /// after tour construction, the FUTURE columns and the stream key.
+    [[nodiscard]] MovementInputs movement_inputs() const {
+        return {targets_.data(), env_.bit_words(), env_.cols(),
+                props_.future_row.data(), props_.future_col.data(),
+                config_.seed, step_};
+    }
+
     /// Shared emptiness test for stage-b candidate building via env.
     [[nodiscard]] bool cell_empty(int r, int c) const {
         return env_.walkable(r, c);
@@ -245,6 +278,10 @@ class Simulator {
     std::vector<grid::PlacedAgent> placed_;
     PropertyTable props_;
     ScanMatrix scan_;
+    /// Proposed-cell bitplane (rows x bit_words, see MovementInputs),
+    /// written on the host thread between tour construction and movement;
+    /// read-only while the movement stage runs.
+    std::vector<std::uint64_t> targets_;
     std::unique_ptr<PheromoneField> pher_;
     /// ACO runs on an analytic field (the paper corridor) only: the field
     /// depends on the grid alone, so one table serves every step.

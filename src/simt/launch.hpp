@@ -13,6 +13,10 @@
 //   - warp_instructions = max lane instruction count (lockstep issue),
 //   - a branch site is divergent when its lanes disagree,
 //   - global accesses coalesce into distinct 128-byte segments per site.
+//
+// Global addresses are device addresses (device_address): a buffer id and
+// a byte offset from that buffer's base, never a host pointer, so the
+// coalescing counts cannot depend on where the host heap put an array.
 #pragma once
 
 #include <algorithm>
@@ -34,6 +38,14 @@ struct Dim2 {
     int y = 1;
     [[nodiscard]] int count() const { return x * y; }
 };
+
+/// Device address of byte `offset` in global buffer `buffer`. Each buffer
+/// is modeled as its own device allocation aligned to far more than a
+/// memory transaction, so buffers never share a segment and an access's
+/// segment depends only on its offset.
+constexpr std::uint64_t device_address(int buffer, std::uint64_t offset) {
+    return (static_cast<std::uint64_t>(buffer) << 40) + offset;
+}
 
 /// Per-warp bookkeeping for one phase. Branch sites and access sites are
 /// small dense integers chosen by the kernel author (an enum per kernel).

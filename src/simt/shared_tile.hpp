@@ -28,17 +28,19 @@ namespace pedsim::simt {
 /// `stride` is the element pitch between consecutive rows: it defaults to
 /// `cols` (a dense array) but lets the view walk the environment's padded
 /// SIMD rows in place — the logical (r, c) addressing the kernels use is
-/// unchanged either way.
+/// unchanged either way. `buffer` names the modeled device allocation
+/// whose base holds element (0, 0) (see device_address).
 template <typename T>
 struct GlobalView {
     const T* data = nullptr;
     int rows = 0;
     int cols = 0;
     int stride = 0;
+    int buffer = 0;
 
     GlobalView() = default;
-    GlobalView(const T* d, int r, int c, int s = 0)
-        : data(d), rows(r), cols(c), stride(s == 0 ? c : s) {}
+    GlobalView(const T* d, int r, int c, int s = 0, int buf = 0)
+        : data(d), rows(r), cols(c), stride(s == 0 ? c : s), buffer(buf) {}
 
     [[nodiscard]] bool in_bounds(int r, int c) const {
         return r >= 0 && r < rows && c >= 0 && c < cols;
@@ -47,8 +49,8 @@ struct GlobalView {
         return data[static_cast<std::size_t>(r) * stride + c];
     }
     [[nodiscard]] std::uint64_t addr(int r, int c) const {
-        return reinterpret_cast<std::uint64_t>(
-            data + (static_cast<std::size_t>(r) * stride + c));
+        return device_address(
+            buffer, (static_cast<std::uint64_t>(r) * stride + c) * sizeof(T));
     }
 };
 

@@ -214,7 +214,7 @@ TEST_F(GatherTest, CollectsOnlyProposersTargetingThisCell) {
     // A neighbour aiming elsewhere:
     place_with_future(11, 11, Group::kBottom, 6, 11, 10);
 
-    const int n = gather_proposers(env_, future_row_.data(),
+    const int n = gather_proposers(EnvIndex(env_), future_row_.data(),
                                    future_col_.data(), 10, 10, out_);
     EXPECT_EQ(n, 5);
     std::set<std::int32_t> got(out_, out_ + n);
@@ -222,14 +222,14 @@ TEST_F(GatherTest, CollectsOnlyProposersTargetingThisCell) {
 }
 
 TEST_F(GatherTest, EmptyNeighborhoodYieldsZero) {
-    const int n = gather_proposers(env_, future_row_.data(),
+    const int n = gather_proposers(EnvIndex(env_), future_row_.data(),
                                    future_col_.data(), 10, 10, out_);
     EXPECT_EQ(n, 0);
 }
 
 TEST_F(GatherTest, NeighborsWithoutProposalsAreIgnored) {
     env_.place(9, 10, Group::kTop, 1);  // never proposed (sentinel future)
-    const int n = gather_proposers(env_, future_row_.data(),
+    const int n = gather_proposers(EnvIndex(env_), future_row_.data(),
                                    future_col_.data(), 10, 10, out_);
     EXPECT_EQ(n, 0);
 }
@@ -237,7 +237,7 @@ TEST_F(GatherTest, NeighborsWithoutProposalsAreIgnored) {
 TEST_F(GatherTest, WorksAtGridCorner) {
     place_with_future(0, 1, Group::kBottom, 1, 0, 0);
     place_with_future(1, 1, Group::kBottom, 2, 0, 0);
-    const int n = gather_proposers(env_, future_row_.data(),
+    const int n = gather_proposers(EnvIndex(env_), future_row_.data(),
                                    future_col_.data(), 0, 0, out_);
     EXPECT_EQ(n, 2);
 }
@@ -245,7 +245,7 @@ TEST_F(GatherTest, WorksAtGridCorner) {
 TEST_F(GatherTest, ProposerOrderFollowsPaperCellNumbering) {
     place_with_future(11, 10, Group::kBottom, 7, 10, 10);  // offset #1 (S)
     place_with_future(9, 10, Group::kTop, 3, 10, 10);      // offset #6 (N)
-    const int n = gather_proposers(env_, future_row_.data(),
+    const int n = gather_proposers(EnvIndex(env_), future_row_.data(),
                                    future_col_.data(), 10, 10, out_);
     ASSERT_EQ(n, 2);
     EXPECT_EQ(out_[0], 7);  // S comes first in kNeighborOffsets

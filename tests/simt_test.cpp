@@ -1,10 +1,14 @@
 // Tests for the SIMT device simulator: launch geometry, divergence
-// accounting, coalescing, halo-tile loading, occupancy and timing model.
+// accounting, coalescing (including the engine's heap-independent device
+// addresses), halo-tile loading, occupancy and timing model.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
 #include <vector>
 
+#include "core/gpu_simulator.hpp"
+#include "scenario/registry.hpp"
 #include "simt/device_spec.hpp"
 #include "simt/event.hpp"
 #include "simt/launch.hpp"
@@ -181,6 +185,46 @@ TEST(Coalescing, PerWarpSegmentsAreNotSharedAcrossWarps) {
                             sizeof(float));
         });
     EXPECT_EQ(ks.global_transactions, 8u);  // one per warp
+}
+
+TEST(Coalescing, EngineTransactionsIgnoreHostHeapPlacement) {
+    // The engine passes buffer-relative device addresses, so the same run
+    // gives the same transaction count and modeled time wherever the host
+    // heap puts its arrays. The second engine is built while the first is
+    // alive and after unrelated odd-sized allocations, so none of its
+    // arrays can share an address with the first engine's.
+    auto cfg = scenario::get("bottleneck_doorway").sim;
+    cfg.model = core::Model::kAco;
+    const auto run = [&cfg] {
+        auto sim = std::make_unique<core::GpuSimulator>(cfg);
+        sim->run(20);
+        return sim;
+    };
+    const auto first = run();
+    std::vector<std::vector<char>> unrelated;
+    for (std::size_t n = 1; n < 200; n += 13) unrelated.emplace_back(n * 7);
+    const auto second = run();
+
+    const KernelStats a = first->launch_log().total_stats();
+    const KernelStats b = second->launch_log().total_stats();
+    EXPECT_EQ(b.global_transactions, a.global_transactions);
+    EXPECT_EQ(second->modeled_seconds(), first->modeled_seconds());
+    EXPECT_EQ(b.warp_instructions, a.warp_instructions);
+    EXPECT_EQ(b.global_load_bytes, a.global_load_bytes);
+}
+
+TEST(Coalescing, DeviceAddressesKeepBuffersApart) {
+    // Offset 0 of two buffers lies in two segments; offsets inside one
+    // transaction of one buffer share a segment.
+    const auto ks = launch<NoShared>(
+        kSpec, Dim2{1, 1}, Dim2{32, 1}, 1,
+        [&](ThreadCtx& ctx, NoShared&, int) {
+            const auto offset =
+                static_cast<std::uint64_t>(ctx.lane()) * sizeof(float);
+            ctx.global_load(0, device_address(1, offset), sizeof(float));
+            ctx.global_load(0, device_address(2, offset), sizeof(float));
+        });
+    EXPECT_EQ(ks.global_transactions, 2u);
 }
 
 // --- Halo tiles (paper Fig. 3) -------------------------------------------------
